@@ -8,8 +8,8 @@ bit-exact backends:
 * ``vectorized`` — lowers the program once into a flat per-timestep schedule
   of dense numpy operations, optimizes the schedule
   (:mod:`repro.engine.optimize`: packet fusion, dead-op elimination, slice
-  selectors, exact BLAS accumulation) and executes all frames of a batch
-  simultaneously;
+  selectors, one group op per hazard-free run, :mod:`repro.engine.groups`)
+  and executes all frames of a batch simultaneously;
 * ``sharded`` — splits the batch's frame axis across worker processes, each
   running the same optimized schedule (:mod:`repro.engine.sharded`);
 * ``gpu`` — runs the identical optimized schedule on a pluggable array
@@ -22,9 +22,9 @@ bit-exact backends:
 
 The ``vectorized`` and ``sharded`` backends additionally accept an
 ``executor`` option (``"plain"``, ``"fused"``, or ``"numba"``): ``fused``
-compiles the optimized schedule into a buffer-reusing fused kernel plan
-(:mod:`repro.engine.kernels`) that is bit-exact with the plain interpreter
-but substantially faster on CPU.
+compiles the optimized schedule's per-op ops into a buffer-reusing fused
+kernel plan (:mod:`repro.engine.kernels`) that is bit-exact with the plain
+interpreter.
 
 Typical use::
 

@@ -31,6 +31,7 @@ import numpy as np
 from ..core.simulator import SimulationResult
 from ..mapping.program import Program
 from .base import EngineError, ExecutionBackend, normalise_spike_trains
+from .groups import GroupAccumulate
 from .lowering import LoweredOp, LoweredSchedule, OutputGather
 from .registry import register_backend
 from .vectorized import (
@@ -51,6 +52,10 @@ def _slot_names(cls) -> list:
 
 def _bind_value(value, xp: ArrayModule):
     if isinstance(value, np.ndarray):
+        # integer constants (weights may be int8/int16) go over as int64:
+        # torch does not promote mixed integer dtypes in a matmul
+        if np.issubdtype(value.dtype, np.integer):
+            return xp.asarray(value, dtype=xp.int64)
         return xp.asarray(value)
     return value
 
@@ -75,12 +80,16 @@ def bind_schedule(schedule: LoweredSchedule,
 
     The returned schedule has ``schedule.xp`` set, so ``allocate`` builds
     device-resident state and the executor transfers inputs/outputs at the
-    run boundary.  Compiled plans are numpy-specific and are not carried
-    over.
+    run boundary.  Every :class:`~repro.engine.groups.GroupAccumulate` is
+    moved onto its dense route first, since the sparse route's
+    ``scipy.sparse`` CSR only runs on the host.  Compiled plans are
+    numpy-specific and are not carried over.
     """
     return replace(
         schedule,
-        ops=[_bind_op(op, xp) for op in schedule.ops],
+        ops=[_bind_op(op.dense() if isinstance(op, GroupAccumulate) else op,
+                      xp)
+             for op in schedule.ops],
         inject_ops=[_bind_op(op, xp) for op in schedule.inject_ops],
         outputs=[
             OutputGather(slot=gather.slot,

@@ -54,8 +54,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.neuron_core import NeuronCoreError
-from ..core.ps_router import PsRouterError
 from .base import EngineError
 from .lowering import (
     Accumulate,
@@ -67,11 +65,13 @@ from .lowering import (
     MakePsPacket,
     MakeSpikePacket,
     PsAdd,
+    acc_overflow,
+    ps_overflow,
 )
+from .groups import exact_in_float64, ungroup
 from .optimize import (
     DirectEject,
     DirectPsAdd,
-    FusedAccumulate,
     Selector,
     _effects,
     _is_subset,
@@ -151,9 +151,9 @@ def _minmax(values: np.ndarray, use_numba: bool) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 class AccKernel(LoweredOp):
     """``ACC`` with a preallocated cast buffer, ``out=`` matmul and an
-    elidable overflow scan.  Bit-exact with Accumulate/FusedAccumulate:
-    the float64 route is only taken where the optimizer already proved the
-    products exactly representable."""
+    elidable overflow scan.  Bit-exact with Accumulate: the float64 route
+    is only taken where :func:`~repro.engine.groups.exact_in_float64`
+    proves the products exactly representable."""
 
     __slots__ = ("slot", "weights", "check", "ps_min", "ps_max", "where",
                  "buf_in", "buf_out", "use_numba")
@@ -180,11 +180,7 @@ class AccKernel(LoweredOp):
         if self.check and sums.size:
             lo, hi = _minmax(sums, self.use_numba)
             if lo < self.ps_min or hi > self.ps_max:
-                # identical error to Accumulate/FusedAccumulate
-                raise NeuronCoreError(
-                    f"neuron core at tile {self.where}: local partial sum "
-                    f"overflowed the range [{self.ps_min}, {self.ps_max}]"
-                )
+                raise acc_overflow(self.where, self.ps_min, self.ps_max)
         np.copyto(st.local_ps[self.slot], sums, casting="unsafe")
         st.active_axons += np.count_nonzero(axons, axis=1)
 
@@ -230,11 +226,8 @@ class PsAddKernel(LoweredOp):
             if self.check and values.size:
                 lo, hi = _minmax(values, self.use_numba)
                 if lo < self.ps_min or hi > self.ps_max:
-                    # identical error to PsAdd/DirectPsAdd
-                    raise PsRouterError(
-                        f"PS router at tile {self.where}: partial-sum "
-                        f"overflow outside [{self.ps_min}, {self.ps_max}]"
-                    )
+                    raise ps_overflow(self.where, self.ps_min,
+                                      self.ps_max)
         else:
             values = incoming
         st.sum_buf[self.slot][:, self.sel] = values
@@ -349,7 +342,7 @@ def _range_step(op: LoweredOp, state: Dict[_Key, _Interval],
                 index: int) -> bool:
     """One op's interval transfer; returns False for unmodelled op kinds."""
     zero: _Interval = (0, 0)
-    if isinstance(op, (Accumulate, FusedAccumulate)):
+    if isinstance(op, Accumulate):
         state[("local_ps", op.slot)] = op.bounds
         return True
     if isinstance(op, (PsAdd, DirectPsAdd)):
@@ -474,14 +467,15 @@ def compile_plan(schedule: LoweredSchedule,
     """Compile a schedule's op list into an :class:`ExecutionPlan`.
 
     ``executor`` is ``"fused"`` (numba used if importable) or ``"numba"``
-    (numba required).  The plain executor has no plan.
+    (numba required).  The plain executor has no plan.  The plan runs the
+    per-op ops behind the schedule's group ops (:func:`ungroup`).
     """
     resolve_executor(executor)
     if executor == "plain":
         raise EngineError("the plain executor does not take a compiled plan")
     use_numba = HAVE_NUMBA
 
-    ops, collapsed = _collapse_packet_pairs(list(schedule.ops))
+    ops, collapsed = _collapse_packet_pairs(list(ungroup(schedule.ops)))
     elidable = analyse_check_elision(schedule, ops)
     if elidable is None:
         elidable = set()
@@ -496,8 +490,9 @@ def compile_plan(schedule: LoweredSchedule,
     total_checks = 0
     elided_checks = 0
     for index, op in enumerate(ops):
-        if isinstance(op, (Accumulate, FusedAccumulate)):
-            weights = op.weights_f if isinstance(op, FusedAccumulate) else op.weights
+        if isinstance(op, Accumulate):
+            weights = op.weights.astype(
+                np.float64 if exact_in_float64(op.weights) else np.int64)
             total_checks += 1
             if not op.check:
                 elided_checks += 1

@@ -4,11 +4,11 @@ Lowers the compiled :class:`~repro.mapping.program.Program` once (at
 construction) into a flat per-timestep schedule of dense numpy operations
 (:mod:`repro.engine.lowering`), runs the schedule optimizer over it
 (:mod:`repro.engine.optimize` — packet fusion, dead-op elimination,
-precomputed slice selectors, exact BLAS accumulation) and then executes
-**all frames of the batch simultaneously** along a leading batch axis: the
-Python dispatch cost of one time step is paid once per batch instead of once
-per frame, which is where the >=10x throughput over the ``reference``
-interpreter comes from (the optimizer adds another >=1.5x on top).
+precomputed slice selectors, one group op per hazard-free run of same-kind
+ops) and then executes **all frames of the batch simultaneously** over
+lane-major state (one row per lane, one column per frame): the Python
+dispatch cost of one time step is paid once per batch instead of once per
+frame, and once per run of ops instead of once per op.
 
 Execution is bit-exact with the reference backend by construction — the
 lowered schedule performs the same integer arithmetic on the same lanes in
@@ -173,6 +173,7 @@ def execute_schedule(schedule: LoweredSchedule, spike_trains: np.ndarray,
         if step < sample_limit:
             step_hist.observe(time.perf_counter() - tick)
     active_axons = state.active_axons
+    schedule.release(state)
     if device is not None:
         counts = np.asarray(device.to_host(counts), dtype=np.int64)
         active_axons = device.to_host(active_axons)

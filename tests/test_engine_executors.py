@@ -266,7 +266,7 @@ class TestOverflowChecksKept:
         program = overflow_program()
         trains = np.ones((2, 3, 4), dtype=bool)  # 4 axons * 15 = 60 > 31
         with pytest.raises(NeuronCoreError,
-                           match=r"overflowed the range \[-32, 31\]"):
+                           match=r"overflowed the 6-bit range \[-32, 31\]"):
             create_backend(name, program, **options).run(trains)
 
     def test_unprovable_check_not_elided(self):
@@ -348,14 +348,32 @@ class TestPlanCompilation:
                                      list(schedule.ops) + [MysteryOp()]) is None
 
     def test_registers_preallocated_from_reg_nets(self, dense_program):
-        schedule = prepare_schedule(dense_program)
-        assert len(schedule.reg_nets) == schedule.n_regs
-        assert set(schedule.reg_nets) <= {"ps", "spike"}
-        state = schedule.allocate(3)
-        for net, reg in zip(schedule.reg_nets, state.regs):
-            assert reg is not None
-            assert reg.shape[0] == 3
-            assert reg.dtype == (np.int64 if net == "ps" else np.bool_)
+        from repro.engine.groups import ungroup
+        from repro.engine.optimize import _effects
+
+        for optimize in (False, True):
+            schedule = prepare_schedule(dense_program, optimize)
+            assert len(schedule.reg_nets) == schedule.n_regs
+            assert set(schedule.reg_nets) <= {"ps", "spike"}
+            touched = {reg for op in ungroup(schedule.ops)
+                       for effects in _effects(op)
+                       for kind, reg in effects if kind == "reg"}
+            # the lowered schedule allocates every register, the optimized
+            # one exactly the registers its ops touch
+            live = (set(schedule.live_regs) if optimize
+                    else set(range(schedule.n_regs)))
+            assert touched <= live
+            if optimize:
+                assert live == touched
+            state = schedule.allocate(3)
+            for index, (net, reg) in enumerate(zip(schedule.reg_nets,
+                                                    state.regs)):
+                if index not in live:
+                    assert reg is None
+                    continue
+                assert reg is not None
+                assert reg.shape[0] == 3
+                assert reg.dtype == (np.int64 if net == "ps" else np.bool_)
 
     def test_plan_rides_through_pickling(self, dense_program):
         import pickle

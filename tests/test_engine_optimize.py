@@ -3,7 +3,7 @@
 The optimizer's contract is the engine's contract: bit-exact results and
 statistics.  These tests pin down the individual transformations — packet
 fusion into direct reads, static dead-op elimination via the taint
-analysis, slice selectors, the BLAS accumulate — and that each preserves
+analysis, slice selectors, the group ops — and that each preserves
 parity with the unoptimized schedule and the reference interpreter.
 """
 
@@ -20,11 +20,17 @@ from repro.engine import (
     lower_program,
     optimize_schedule,
 )
+from repro.engine.groups import (
+    GROUP_OPS,
+    GroupAccumulate,
+    GroupEject,
+    GroupPsAdd,
+    ungroup,
+)
 from repro.engine.lowering import Accumulate, Eject, MakeSpikePacket, PsAdd
 from repro.engine.optimize import (
     DirectEject,
     DirectPsAdd,
-    FusedAccumulate,
     _as_selector,
 )
 from repro.mapping.compiler import compile_network
@@ -83,8 +89,7 @@ class TestOptimizePass:
         assert optimized.optimized and not schedule.optimized
         assert optimized.clear_plan is not None and schedule.clear_plan is None
         # the input schedule was not mutated
-        assert not any(isinstance(op, (DirectPsAdd, DirectEject,
-                                       FusedAccumulate))
+        assert not any(isinstance(op, (DirectPsAdd, DirectEject) + GROUP_OPS)
                        for op in schedule.ops)
 
     def test_shrinks_real_mapping(self, dense_program):
@@ -92,9 +97,12 @@ class TestOptimizePass:
         optimized = optimize_schedule(schedule)
         assert len(optimized.ops) < len(schedule.ops)
         kinds = {type(op) for op in optimized.ops}
-        # fusion actually fired on the adder trees and the spike routes
-        assert DirectPsAdd in kinds
-        assert FusedAccumulate in kinds
+        members = {type(op) for op in ungroup(optimized.ops)}
+        # fusion actually fired on the adder trees and the spike routes,
+        # and the fused ops run as groups
+        assert DirectPsAdd in members and GroupPsAdd in kinds
+        assert Accumulate in members and GroupAccumulate in kinds
+        assert kinds <= set(GROUP_OPS)
 
     def test_static_stats_preserved(self, dense_program):
         schedule = lower_program(dense_program)
@@ -123,9 +131,10 @@ class TestOptimizePass:
     def test_fire_fuses_spike_route_into_direct_eject(self, arch):
         program = _two_tile_program(arch)
         optimized = optimize_schedule(lower_program(program))
-        kinds = [type(op) for op in optimized.ops]
+        kinds = [type(op) for op in ungroup(optimized.ops)]
         assert DirectEject in kinds
         assert MakeSpikePacket not in kinds and Eject not in kinds
+        assert GroupEject in {type(op) for op in optimized.ops}
 
 
 class TestDeadOpElimination:
@@ -147,8 +156,7 @@ class TestDeadOpElimination:
     def test_live_path_not_removed(self, arch, rng):
         program = _two_tile_program(arch, bind_input=True)
         optimized = optimize_schedule(lower_program(program))
-        assert any(isinstance(op, (Accumulate, FusedAccumulate))
-                   for op in optimized.ops)
+        assert any(isinstance(op, GroupAccumulate) for op in optimized.ops)
         trains = rng.random((4, 6, arch.core_inputs)) < 0.5
         assert_backend_parity(program, trains)
 
@@ -210,7 +218,10 @@ class TestOptimizedErrorPaths:
             tile=tile, lanes=(0, 1, 2, 3), output_indices=(0, 1, 2, 3)))
 
         backend = create_backend("vectorized", program)
-        assert any(isinstance(op, FusedAccumulate) for op in backend.schedule.ops)
+        # a fully dense run: the stacked float64 (BLAS) route, check kept
+        assert any(isinstance(op, GroupAccumulate) and not op.sparse
+                   and op.exact_f64 and op.checks
+                   for op in backend.schedule.ops)
         trains = np.ones((2, 3, 4), dtype=bool)
         with pytest.raises(NeuronCoreError, match="overflow"):
             backend.run(trains)
